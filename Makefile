@@ -21,10 +21,11 @@ race:
 # Regenerate the evaluation tables and record a machine-readable
 # BENCH_<timestamp>.json snapshot in the repo root. The first leg prints
 # the certificate-scheme micro-benchmarks (multisig vs BLS
-# sign/combine/verify at quorum 9 of 13); 10 iterations keeps the
-# ~1 s/op BLS pairing verify affordable.
+# sign/combine/verify at quorum 9 of 13) and the beacon's threshold
+# signature (sign, verify one share, combine 5 of 13); 10 iterations
+# keeps the ~1 s/op BLS pairing verify affordable.
 bench:
-	$(GO) test -run '^$$' -bench 'Sign13|Combine13|VerifyAggregate13' -benchtime 10x ./internal/crypto/aggsig ./internal/crypto/multisig
+	$(GO) test -run '^$$' -bench 'Sign13|Combine13|VerifyAggregate13|SignShare|VerifyShare' -benchtime 10x ./internal/crypto/aggsig ./internal/crypto/multisig ./internal/crypto/thresig
 	$(GO) run ./cmd/iccbench -json
 
 # The certificate-scheme chart alone (E14): bytes/party, commits/s, and

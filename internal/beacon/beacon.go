@@ -10,7 +10,6 @@
 package beacon
 
 import (
-	"crypto/rand"
 	"errors"
 	"fmt"
 	"sync"
@@ -43,8 +42,13 @@ type Beacon struct {
 	digests map[types.Round]hash.Digest
 	// shares[k][p] holds received shares for round k — verified lazily,
 	// because verification needs R_{k−1}, which a lagging party may not
-	// yet have.
-	shares map[types.Round]map[types.PartyID]*thresig.SigShare
+	// yet have. Each share is verified at most once: a valid one is
+	// marked in its entry, an invalid one loses its share but keeps the
+	// signer's slot, so later copies from that signer are ignored.
+	shares map[types.Round]map[types.PartyID]*heldShare
+	// verify checks one share against its round message; it is
+	// pub.VerifyShare, held as a field so tests can count the calls.
+	verify func(msg []byte, s *thresig.SigShare) error
 	// perms caches round permutations.
 	perms map[types.Round][]types.PartyID
 
@@ -58,6 +62,13 @@ type Beacon struct {
 	genesis hash.Digest
 }
 
+// heldShare is a received share and its verification verdict. A
+// rejected entry keeps no share: it only occupies the signer's slot.
+type heldShare struct {
+	share    *thresig.SigShare // nil once rejected
+	verified bool
+}
+
 // New creates a beacon tracker. The genesis seed must be identical across
 // all parties (it is part of the public key material).
 func New(pub *thresig.PublicInfo, sk thresig.SecretShare, self types.PartyID, genesisSeed []byte) *Beacon {
@@ -67,11 +78,12 @@ func New(pub *thresig.PublicInfo, sk thresig.SecretShare, self types.PartyID, ge
 		self:    self,
 		values:  make(map[types.Round]*thresig.Signature),
 		digests: make(map[types.Round]hash.Digest),
-		shares:  make(map[types.Round]map[types.PartyID]*thresig.SigShare),
+		shares:  make(map[types.Round]map[types.PartyID]*heldShare),
 		perms:   make(map[types.Round][]types.PartyID),
 		own:     newShareCache(0),
 		genesis: hash.Sum(hash.DomainBeacon, genesisSeed),
 	}
+	b.verify = pub.VerifyShare
 	b.digests[0] = b.genesis
 	return b
 }
@@ -120,13 +132,10 @@ func (b *Beacon) ShareForRound(k types.Round) (*types.BeaconShare, error) {
 	if !ok {
 		return nil, fmt.Errorf("beacon: R_%d not yet known, cannot sign R_%d", k-1, k)
 	}
-	// Sign outside the lock: the scalar multiplication takes milliseconds
-	// and must not stall concurrent beacon readers (the engine loop).
-	share, err := thresig.Sign(rand.Reader, b.sk, msg)
-	if err != nil {
-		return nil, fmt.Errorf("beacon: signing share: %w", err)
-	}
-	sh := &types.BeaconShare{Round: k, Signer: b.self, Share: share.Encode()}
+	// Sign outside the lock: the scalar multiplications take a few
+	// hundred microseconds and must not stall concurrent beacon readers
+	// (the engine loop).
+	sh := &types.BeaconShare{Round: k, Signer: b.self, Share: thresig.Sign(b.sk, msg).Encode()}
 	b.mu.Lock()
 	if k >= b.prunedBefore {
 		b.own.put(k, sh)
@@ -167,22 +176,22 @@ func (b *Beacon) AddShare(s *types.BeaconShare) (bool, error) {
 	defer b.mu.Unlock()
 	m := b.shares[s.Round]
 	if m == nil {
-		m = make(map[types.PartyID]*thresig.SigShare)
+		m = make(map[types.PartyID]*heldShare)
 		b.shares[s.Round] = m
 	}
 	if _, dup := m[s.Signer]; dup {
 		return false, nil
 	}
-	m[s.Signer] = decoded
+	m[s.Signer] = &heldShare{share: decoded}
 	return true, nil
 }
 
-// ShareCount returns the number of (not yet verified) shares held for a
-// round.
+// ShareCount returns the number of shares held for a round whose
+// verification has not failed.
 func (b *Beacon) ShareCount(k types.Round) int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return len(b.shares[k])
+	return b.countLive(b.shares[k])
 }
 
 // Have reports whether R_k is known.
@@ -194,8 +203,9 @@ func (b *Beacon) Have(k types.Round) bool {
 }
 
 // Reveal attempts to compute R_k from the shares held. It returns the
-// digest H(R_k) and true on success. Invalid shares are discarded in the
-// process (combining verifies each share against the public material).
+// digest H(R_k) and true on success. Shares are verified in party order
+// until t+1 are valid, each at most once across calls: a verdict is
+// remembered, and an invalid share is dropped for good.
 func (b *Beacon) Reveal(k types.Round) (hash.Digest, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -207,17 +217,25 @@ func (b *Beacon) Reveal(k types.Round) (hash.Digest, bool) {
 		return hash.Digest{}, false
 	}
 	m := b.shares[k]
-	if len(m) < b.pub.Threshold {
+	if b.countLive(m) < b.pub.Threshold {
 		return hash.Digest{}, false
 	}
-	// Deterministic order: ascending party index.
-	list := make([]*thresig.SigShare, 0, len(m))
-	for p := 0; p < b.pub.N; p++ {
-		if s, ok := m[types.PartyID(p)]; ok {
-			list = append(list, s)
+	valid := make([]*thresig.SigShare, 0, b.pub.Threshold)
+	for p := 0; p < b.pub.N && len(valid) < b.pub.Threshold; p++ {
+		h, ok := m[types.PartyID(p)]
+		if !ok || h.share == nil {
+			continue
 		}
+		if !h.verified {
+			if err := b.verify(msg, h.share); err != nil {
+				h.share = nil
+				continue
+			}
+			h.verified = true
+		}
+		valid = append(valid, h.share)
 	}
-	sigv, err := b.pub.Combine(msg, list)
+	sigv, err := b.pub.Interpolate(valid)
 	if err != nil {
 		return hash.Digest{}, false
 	}
@@ -225,6 +243,17 @@ func (b *Beacon) Reveal(k types.Round) (hash.Digest, bool) {
 	d := sigv.Digest()
 	b.digests[k] = d
 	return d, true
+}
+
+// countLive counts the held shares not rejected by verification.
+func (b *Beacon) countLive(m map[types.PartyID]*heldShare) int {
+	n := 0
+	for _, h := range m {
+		if h.share != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // Digest returns H(R_k) if known.

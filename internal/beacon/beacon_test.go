@@ -7,6 +7,7 @@ import (
 
 	"icc/internal/crypto/hash"
 	"icc/internal/crypto/keys"
+	"icc/internal/crypto/thresig"
 	"icc/internal/types"
 )
 
@@ -128,6 +129,68 @@ func TestRevealSurvivesCorruptShares(t *testing.T) {
 	want, _ := bs[0].Digest(1)
 	if d != want {
 		t.Fatal("corrupt share changed the beacon value")
+	}
+}
+
+func TestRevealVerifiesEachShareOnce(t *testing.T) {
+	bs := cluster(t, 7) // t=2, quorum=3
+	b := bs[6]
+	verified := map[types.PartyID]int{}
+	verify := b.verify
+	b.verify = func(msg []byte, s *thresig.SigShare) error {
+		verified[types.PartyID(s.Index)]++
+		return verify(msg, s)
+	}
+	// t Byzantine shares (party 4's share claimed by parties 0 and 1)
+	// plus t honest ones: enough shares, too few valid.
+	for _, signer := range []types.PartyID{0, 1} {
+		forged, err := bs[4].ShareForRound(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		forged.Signer = signer
+		if _, err := b.AddShare(forged); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range []int{2, 3} {
+		s, err := bs[p].ShareForRound(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.AddShare(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		if _, ok := b.Reveal(1); ok {
+			t.Fatal("revealed with t valid shares")
+		}
+	}
+	for p := types.PartyID(0); p < 4; p++ {
+		if verified[p] != 1 {
+			t.Fatalf("share of party %d verified %d times, want 1", p, verified[p])
+		}
+	}
+	// The rejected shares are dropped, and their signers' slots stay
+	// taken, so a resend is not verified again.
+	if got := b.ShareCount(1); got != 2 {
+		t.Fatalf("ShareCount %d after rejecting two shares, want 2", got)
+	}
+	forged, _ := bs[4].ShareForRound(1)
+	forged.Signer = 0
+	if added, _ := b.AddShare(forged); added {
+		t.Fatal("a rejected signer's resend was admitted")
+	}
+	s5, _ := bs[5].ShareForRound(1)
+	if _, err := b.AddShare(s5); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := b.Reveal(1); !ok {
+		t.Fatal("reveal failed with t+1 honest shares")
+	}
+	if verified[0] != 1 || verified[1] != 1 || verified[2] != 1 || verified[3] != 1 || verified[5] != 1 {
+		t.Fatalf("verification counts %v, want one per share", verified)
 	}
 }
 

@@ -294,9 +294,10 @@ func (e *Engine) progress(now time.Duration) {
 // round-k beacon (and records it locally).
 func (e *Engine) broadcastBeaconShare(k types.Round) {
 	if e.replaying {
-		// Our own shares from before the crash arrive as WAL records; the
-		// deterministic signature would be identical anyway, and nothing
-		// may be emitted during replay.
+		// Our own shares from before the crash arrive as WAL records; a
+		// fresh signature would be byte-identical (the DLEQ nonce is
+		// derived from key and message), and nothing may be emitted
+		// during replay.
 		return
 	}
 	share, err := e.cfg.Beacon.ShareForRound(k)

@@ -13,7 +13,6 @@ package dleq
 import (
 	"errors"
 	"fmt"
-	"io"
 
 	"icc/internal/crypto/ec"
 	"icc/internal/crypto/hash"
@@ -42,20 +41,30 @@ func challenge(base2, pub1, pub2, a1, a2 *ec.Point, context []byte) *ec.Scalar {
 	return ec.ScalarFromBytesWide(d[:])
 }
 
+// nonce derives the commitment exponent deterministically from the
+// secret and everything the proof is about, in the manner of RFC 6979:
+// two 32-byte digests reduced mod N, so the bias is below 2^-256. Equal
+// inputs give byte-identical proofs; a nonce never repeats across
+// different (base2, context) under one secret, which would leak x.
+func nonce(x *ec.Scalar, base2 *ec.Point, context []byte) *ec.Scalar {
+	xb, bb := x.Encode(), base2.Encode()
+	lo := hash.Sum(hash.DomainDLEQNonce, xb, bb, context, []byte{0})
+	hi := hash.Sum(hash.DomainDLEQNonce, xb, bb, context, []byte{1})
+	return ec.ScalarFromBytesWide(append(lo[:], hi[:]...))
+}
+
 // Prove creates a proof that pub1 = x·G and pub2 = x·base2 for the given
 // secret x. The context bytes bind the proof to a particular protocol
-// message, preventing replay across messages.
-func Prove(rng io.Reader, x *ec.Scalar, base2, pub1, pub2 *ec.Point, context []byte) (*Proof, error) {
-	k, err := ec.RandomScalar(rng)
-	if err != nil {
-		return nil, fmt.Errorf("dleq: sampling nonce: %w", err)
-	}
+// message, preventing replay across messages. The proof is a
+// deterministic function of its inputs.
+func Prove(x *ec.Scalar, base2, pub1, pub2 *ec.Point, context []byte) *Proof {
+	k := nonce(x, base2, context)
 	a1 := ec.BaseMul(k)
 	a2 := base2.Mul(k)
 	c := challenge(base2, pub1, pub2, a1, a2, context)
 	// z = k - c*x
 	z := k.Sub(c.Mul(x))
-	return &Proof{C: c, Z: z}, nil
+	return &Proof{C: c, Z: z}
 }
 
 // Verify checks a proof that log_G(pub1) = log_{base2}(pub2).

@@ -1,6 +1,7 @@
 package dleq
 
 import (
+	"bytes"
 	"crypto/rand"
 	"testing"
 
@@ -22,10 +23,7 @@ func setup(t *testing.T) (x *ec.Scalar, base2, pub1, pub2 *ec.Point) {
 func TestProveVerify(t *testing.T) {
 	x, base2, pub1, pub2 := setup(t)
 	ctx := []byte("round 7 beacon share")
-	p, err := Prove(rand.Reader, x, base2, pub1, pub2, ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := Prove(x, base2, pub1, pub2, ctx)
 	if err := Verify(p, base2, pub1, pub2, ctx); err != nil {
 		t.Fatalf("valid proof rejected: %v", err)
 	}
@@ -36,10 +34,7 @@ func TestVerifyRejectsWrongExponent(t *testing.T) {
 	// pub2 computed with a different exponent.
 	y, _ := ec.RandomScalar(rand.Reader)
 	badPub2 := base2.Mul(y)
-	p, err := Prove(rand.Reader, x, base2, pub1, badPub2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := Prove(x, base2, pub1, badPub2, nil)
 	if err := Verify(p, base2, pub1, badPub2, nil); err == nil {
 		t.Fatal("proof over mismatched exponents verified")
 	}
@@ -47,10 +42,7 @@ func TestVerifyRejectsWrongExponent(t *testing.T) {
 
 func TestVerifyRejectsWrongContext(t *testing.T) {
 	x, base2, pub1, pub2 := setup(t)
-	p, err := Prove(rand.Reader, x, base2, pub1, pub2, []byte("ctx-a"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := Prove(x, base2, pub1, pub2, []byte("ctx-a"))
 	if err := Verify(p, base2, pub1, pub2, []byte("ctx-b")); err == nil {
 		t.Fatal("proof verified under a different context")
 	}
@@ -58,10 +50,7 @@ func TestVerifyRejectsWrongContext(t *testing.T) {
 
 func TestVerifyRejectsTamperedProof(t *testing.T) {
 	x, base2, pub1, pub2 := setup(t)
-	p, err := Prove(rand.Reader, x, base2, pub1, pub2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := Prove(x, base2, pub1, pub2, nil)
 	tampered := &Proof{C: p.C, Z: p.Z.Add(ec.OneScalar())}
 	if err := Verify(tampered, base2, pub1, pub2, nil); err == nil {
 		t.Fatal("tampered proof verified")
@@ -76,22 +65,36 @@ func TestVerifyRejectsTamperedProof(t *testing.T) {
 
 func TestVerifyRejectsSwappedBases(t *testing.T) {
 	x, base2, pub1, pub2 := setup(t)
-	p, err := Prove(rand.Reader, x, base2, pub1, pub2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := Prove(x, base2, pub1, pub2, nil)
 	other := ec.HashToPoint([]byte("different base"))
 	if err := Verify(p, other, pub1, pub2, nil); err == nil {
 		t.Fatal("proof verified under a different second base")
 	}
 }
 
+func TestProveIsDeterministic(t *testing.T) {
+	x, base2, pub1, pub2 := setup(t)
+	a := Prove(x, base2, pub1, pub2, []byte("ctx"))
+	b := Prove(x, base2, pub1, pub2, []byte("ctx"))
+	if !bytes.Equal(a.Encode(), b.Encode()) {
+		t.Fatal("equal inputs gave different proofs")
+	}
+	if nonce(x, base2, []byte("ctx")).Equal(nonce(x, base2, []byte("ctx2"))) {
+		t.Fatal("different contexts gave the same nonce")
+	}
+	other := ec.HashToPoint([]byte("another message"))
+	if nonce(x, base2, []byte("ctx")).Equal(nonce(x, other, []byte("ctx"))) {
+		t.Fatal("different bases gave the same nonce")
+	}
+	y, _ := ec.RandomScalar(rand.Reader)
+	if nonce(x, base2, nil).Equal(nonce(y, base2, nil)) {
+		t.Fatal("different secrets gave the same nonce")
+	}
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	x, base2, pub1, pub2 := setup(t)
-	p, err := Prove(rand.Reader, x, base2, pub1, pub2, []byte("ctx"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := Prove(x, base2, pub1, pub2, []byte("ctx"))
 	enc := p.Encode()
 	if len(enc) != ProofLen {
 		t.Fatalf("encoded length %d, want %d", len(enc), ProofLen)
@@ -114,9 +117,7 @@ func BenchmarkProve(b *testing.B) {
 	pub1, pub2 := ec.BaseMul(x), base2.Mul(x)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Prove(rand.Reader, x, base2, pub1, pub2, nil); err != nil {
-			b.Fatal(err)
-		}
+		Prove(x, base2, pub1, pub2, nil)
 	}
 }
 
@@ -124,7 +125,7 @@ func BenchmarkVerify(b *testing.B) {
 	x, _ := ec.RandomScalar(rand.Reader)
 	base2 := ec.HashToPoint([]byte("m"))
 	pub1, pub2 := ec.BaseMul(x), base2.Mul(x)
-	p, _ := Prove(rand.Reader, x, base2, pub1, pub2, nil)
+	p := Prove(x, base2, pub1, pub2, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := Verify(p, base2, pub1, pub2, nil); err != nil {

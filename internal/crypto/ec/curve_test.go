@@ -7,9 +7,24 @@ import (
 	"testing/quick"
 )
 
-// Known-answer values for secp256k1 small multiples of G.
-var kat2Gx, _ = new(big.Int).SetString("c6047f9441ed7d6d3045406e95c07cd85c778e4b8cef3ca7abac09b95c709ee5", 16)
-var kat2Gy, _ = new(big.Int).SetString("1ae168fea63dc339a3c58419466ceaeef7f632653266d0e1236431a950cfe52a", 16)
+// Known-answer values for small multiples of the P-256 base point
+// (NIST test vectors).
+func mustHex(s string) *big.Int {
+	v, ok := new(big.Int).SetString(s, 16)
+	if !ok {
+		panic("bad hex " + s)
+	}
+	return v
+}
+
+var (
+	kat2Gx = mustHex("7cf27b188d034f7e8a52380304b51ac3c08969e277f21b35a60b48fc47669978")
+	kat2Gy = mustHex("07775510db8ed040293d9ac69f7430dbba7dade63ce982299e04b79d227873d1")
+	kat3Gx = mustHex("5ecbe4d1a6330a44c8f7ef951d4bf165e6c6b721efada985fb41661bc6e7fd6c")
+	kat3Gy = mustHex("8734640c4998ff7e374b06ce1a64a2ecd82ab036384fb83d9a79b127a27d5032")
+	katGx  = mustHex("6b17d1f2e12c4247f8bce6e563a440f277037d812deb33a0f4a13945d898c296")
+	katGy  = mustHex("4fe342e2fe1a7f9b8ee7eb4a7c0f9e162bce33576b315ececbb6406837bf51f5")
+)
 
 func TestGeneratorOnCurve(t *testing.T) {
 	if !Generator().IsOnCurve() {
@@ -21,6 +36,24 @@ func TestDoubleKnownAnswer(t *testing.T) {
 	g2 := Generator().Add(Generator())
 	if g2.x.Cmp(kat2Gx) != 0 || g2.y.Cmp(kat2Gy) != 0 {
 		t.Fatalf("2G mismatch: got (%s, %s)", g2.x.Text(16), g2.y.Text(16))
+	}
+	if !BaseMul(ScalarFromUint64(2)).Equal(g2) {
+		t.Fatal("BaseMul(2) != G+G")
+	}
+}
+
+func TestSmallMultiplesKnownAnswer(t *testing.T) {
+	if g := Generator(); g.x.Cmp(katGx) != 0 || g.y.Cmp(katGy) != 0 {
+		t.Fatal("generator is not the P-256 base point")
+	}
+	g3 := BaseMul(ScalarFromUint64(3))
+	if g3.x.Cmp(kat3Gx) != 0 || g3.y.Cmp(kat3Gy) != 0 {
+		t.Fatalf("3G mismatch: got (%s, %s)", g3.x.Text(16), g3.y.Text(16))
+	}
+	// (n−1)·G = −G = (Gx, p − Gy).
+	gn := BaseMul(NewScalar(new(big.Int).Sub(N, big.NewInt(1))))
+	if gn.x.Cmp(katGx) != 0 || gn.y.Cmp(new(big.Int).Sub(P, katGy)) != 0 {
+		t.Fatalf("(n-1)G mismatch: got (%s, %s)", gn.x.Text(16), gn.y.Text(16))
 	}
 }
 
@@ -139,12 +172,35 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 			P.FillBytes(b[1:])
 			return b
 		}(),
+		func() []byte { // uncompressed prefix with a valid x
+			b := Generator().Encode()
+			b[0] = 0x04
+			return b
+		}(),
+		offCurveX(t), // x with no point on the curve
 	}
 	for i, c := range cases {
 		if _, err := DecodePoint(c); err == nil {
 			t.Fatalf("case %d: expected decode error", i)
 		}
 	}
+}
+
+// offCurveX returns the compressed encoding 0x02‖x for x = 1, which is
+// below p but has no point on the curve: x³ − 3x + b is a non-residue.
+func offCurveX(t *testing.T) []byte {
+	x := big.NewInt(1)
+	rhs := new(big.Int).Exp(x, big.NewInt(3), P)
+	rhs.Sub(rhs, new(big.Int).Mul(big.NewInt(3), x))
+	rhs.Add(rhs, curve.Params().B)
+	rhs.Mod(rhs, P)
+	if big.Jacobi(rhs, P) != -1 {
+		t.Fatal("x = 1 is on the curve")
+	}
+	b := make([]byte, PointLen)
+	b[0] = 0x02
+	x.FillBytes(b[1:])
+	return b
 }
 
 func TestHashToPointDeterministicAndOnCurve(t *testing.T) {
@@ -155,6 +211,9 @@ func TestHashToPointDeterministicAndOnCurve(t *testing.T) {
 	}
 	if !p1.IsOnCurve() || p1.IsInfinity() {
 		t.Fatal("HashToPoint result invalid")
+	}
+	if p1.y.Bit(0) != 0 {
+		t.Fatal("HashToPoint did not take the even-y root")
 	}
 	p3 := HashToPoint([]byte("round 2 beacon"))
 	if p1.Equal(p3) {

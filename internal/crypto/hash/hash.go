@@ -44,6 +44,7 @@ const (
 	DomainMerkleInner Domain = "icc/merkle-inner"
 	DomainHashToCurve Domain = "icc/hash-to-curve"
 	DomainDLEQ        Domain = "icc/dleq"
+	DomainDLEQNonce   Domain = "icc/dleq-nonce"
 	DomainCommand     Domain = "icc/command"
 	DomainState       Domain = "icc/state"
 )

@@ -3,6 +3,7 @@ package keys
 import (
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"icc/internal/crypto/aggsig"
@@ -20,11 +21,31 @@ import (
 // strings decode: ed25519 material under "multisig", BLS12-381 material
 // under "bls". Files written before the field existed decode as
 // multisig (the historical scheme).
+//
+// The beacon_curve field names the group the beacon key material lives
+// in. Both files must carry the current value: key files from before the
+// beacon moved to P-256 hold secp256k1 points and scalars that would
+// otherwise decode into wrong P-256 values without any error.
+
+// beaconCurve is the beacon_curve value of key files this build reads.
+const beaconCurve = "p256"
+
+// ErrStaleKeyFile reports a key file whose beacon material belongs to a
+// different (or unnamed) curve.
+var ErrStaleKeyFile = errors.New("keys: beacon key material is not for curve " + beaconCurve + "; regenerate the key files with icckeygen")
+
+func checkBeaconCurve(curve string) error {
+	if curve != beaconCurve {
+		return fmt.Errorf("%w (file has beacon_curve %q)", ErrStaleKeyFile, curve)
+	}
+	return nil
+}
 
 type jsonPublic struct {
 	N           int      `json:"n"`
 	T           int      `json:"t"`
 	CertScheme  string   `json:"cert_scheme,omitempty"`
+	BeaconCurve string   `json:"beacon_curve"`
 	Auth        []string `json:"auth_keys"`
 	Notary      []string `json:"notary_keys"`
 	Final       []string `json:"final_keys"`
@@ -34,12 +55,13 @@ type jsonPublic struct {
 }
 
 type jsonPrivate struct {
-	Index      int    `json:"index"`
-	CertScheme string `json:"cert_scheme,omitempty"`
-	Auth       string `json:"auth_sk"`
-	Notary     string `json:"notary_sk"`
-	Final      string `json:"final_sk"`
-	Beacon     string `json:"beacon_sk"`
+	Index       int    `json:"index"`
+	CertScheme  string `json:"cert_scheme,omitempty"`
+	BeaconCurve string `json:"beacon_curve"`
+	Auth        string `json:"auth_sk"`
+	Notary      string `json:"notary_sk"`
+	Final       string `json:"final_sk"`
+	Beacon      string `json:"beacon_sk"`
 }
 
 func hexKeys[T ~[]byte](ks []T) []string {
@@ -122,6 +144,7 @@ func (p *Public) MarshalJSON() ([]byte, error) {
 		N:           p.N,
 		T:           p.T,
 		CertScheme:  p.CertScheme().String(),
+		BeaconCurve: beaconCurve,
 		Auth:        hexKeys(p.Auth),
 		Notary:      notary,
 		Final:       final,
@@ -135,6 +158,9 @@ func (p *Public) MarshalJSON() ([]byte, error) {
 func (p *Public) UnmarshalJSON(b []byte) error {
 	var j jsonPublic
 	if err := json.Unmarshal(b, &j); err != nil {
+		return err
+	}
+	if err := checkBeaconCurve(j.BeaconCurve); err != nil {
 		return err
 	}
 	scheme, err := aggsig.ParseSchemeID(j.CertScheme)
@@ -228,12 +254,13 @@ func (p *Private) MarshalJSON() ([]byte, error) {
 		return nil, err
 	}
 	return json.Marshal(jsonPrivate{
-		Index:      int(p.Index),
-		CertScheme: scheme.String(),
-		Auth:       hex.EncodeToString(p.Auth),
-		Notary:     notary,
-		Final:      final,
-		Beacon:     hex.EncodeToString(p.Beacon.Key.Encode()),
+		Index:       int(p.Index),
+		CertScheme:  scheme.String(),
+		BeaconCurve: beaconCurve,
+		Auth:        hex.EncodeToString(p.Auth),
+		Notary:      notary,
+		Final:       final,
+		Beacon:      hex.EncodeToString(p.Beacon.Key.Encode()),
 	})
 }
 
@@ -241,6 +268,9 @@ func (p *Private) MarshalJSON() ([]byte, error) {
 func (p *Private) UnmarshalJSON(b []byte) error {
 	var j jsonPrivate
 	if err := json.Unmarshal(b, &j); err != nil {
+		return err
+	}
+	if err := checkBeaconCurve(j.BeaconCurve); err != nil {
 		return err
 	}
 	scheme, err := aggsig.ParseSchemeID(j.CertScheme)
@@ -271,6 +301,6 @@ func (p *Private) UnmarshalJSON(b []byte) error {
 	p.Auth = sig.PrivateKey(auth)
 	p.Notary = notary
 	p.Final = final
-	p.Beacon = thresig.SecretShare{Index: j.Index, Key: beacon}
+	p.Beacon = thresig.NewSecretShare(j.Index, beacon)
 	return nil
 }

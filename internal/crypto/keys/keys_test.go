@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"crypto/rand"
 	"encoding/json"
+	"errors"
+	"strings"
 	"testing"
 
 	"icc/internal/crypto/aggsig"
@@ -53,10 +55,7 @@ func TestKeysAreUsable(t *testing.T) {
 	// Beacon: all four shares sign, any 2 combine to same signature.
 	shares := make([]*thresig.SigShare, 4)
 	for i := range shares {
-		shares[i], err = thresig.Sign(rand.Reader, privs[i].Beacon, msg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		shares[i] = thresig.Sign(privs[i].Beacon, msg)
 		if err := pub.Beacon.VerifyShare(msg, shares[i]); err != nil {
 			t.Fatalf("beacon share %d: %v", i, err)
 		}
@@ -180,17 +179,11 @@ func TestJSONRoundTrip(t *testing.T) {
 	// a beacon share signed with the decoded secret must verify under the
 	// original public info, and vice versa.
 	msg := []byte("round trip")
-	share, err := thresig.Sign(rand.Reader, priv2.Beacon, msg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	share := thresig.Sign(priv2.Beacon, msg)
 	if err := pub.Beacon.VerifyShare(msg, share); err != nil {
 		t.Fatalf("decoded private key unusable: %v", err)
 	}
-	origShare, err := thresig.Sign(rand.Reader, privs[0].Beacon, msg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	origShare := thresig.Sign(privs[0].Beacon, msg)
 	if err := pub2.Beacon.VerifyShare(msg, origShare); err != nil {
 		t.Fatalf("decoded public info unusable: %v", err)
 	}
@@ -201,5 +194,47 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 	if pub2.N != pub.N || pub2.T != pub.T {
 		t.Fatal("parameters lost in round trip")
+	}
+}
+
+func TestStaleBeaconCurveRejected(t *testing.T) {
+	pub, privs, err := Deal(rand.Reader, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, v := range map[string]any{"public": pub, "private": &privs[0]} {
+		raw, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fields map[string]any
+		if err := json.Unmarshal(raw, &fields); err != nil {
+			t.Fatal(err)
+		}
+		if fields["beacon_curve"] != beaconCurve {
+			t.Fatalf("%s: written beacon_curve %v, want %q", name, fields["beacon_curve"], beaconCurve)
+		}
+		for _, curve := range []any{nil, "secp256k1"} {
+			if curve == nil {
+				delete(fields, "beacon_curve")
+			} else {
+				fields["beacon_curve"] = curve
+			}
+			stale, err := json.Marshal(fields)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var dst any = &Public{}
+			if name == "private" {
+				dst = &Private{}
+			}
+			err = json.Unmarshal(stale, dst)
+			if !errors.Is(err, ErrStaleKeyFile) {
+				t.Fatalf("%s with beacon_curve %v: got %v, want ErrStaleKeyFile", name, curve, err)
+			}
+			if !strings.Contains(err.Error(), "icckeygen") {
+				t.Fatalf("%s: error %q does not say how to regenerate", name, err)
+			}
+		}
 	}
 }

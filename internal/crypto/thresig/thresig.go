@@ -34,10 +34,18 @@ type PublicInfo struct {
 	Shares    []*ec.Point // sk_i·G, indexed by party
 }
 
-// SecretShare is one party's signing key share.
+// SecretShare is one party's signing key share. Obtain it from Deal or
+// NewSecretShare, which also fix the public key share Key·G that every
+// signature share's proof binds.
 type SecretShare struct {
 	Index int
 	Key   *ec.Scalar
+	pub   *ec.Point
+}
+
+// NewSecretShare returns party index's signing key share.
+func NewSecretShare(index int, key *ec.Scalar) SecretShare {
+	return SecretShare{Index: index, Key: key, pub: ec.BaseMul(key)}
 }
 
 // SigShare is a signature share together with its proof of correctness.
@@ -80,7 +88,7 @@ func Deal(rng io.Reader, threshold, n int) (*PublicInfo, []SecretShare, error) {
 	}
 	secrets := make([]SecretShare, n)
 	for i, s := range shares {
-		secrets[i] = SecretShare{Index: s.Index, Key: s.Value}
+		secrets[i] = SecretShare{Index: s.Index, Key: s.Value, pub: pub.Shares[i]}
 	}
 	return pub, secrets, nil
 }
@@ -91,27 +99,29 @@ func messagePoint(msg []byte) *ec.Point {
 	return ec.HashToPoint(d[:])
 }
 
-// Sign produces this party's signature share on msg.
-func Sign(rng io.Reader, sk SecretShare, msg []byte) (*SigShare, error) {
+// Sign produces this party's signature share on msg. The share is a
+// deterministic function of (sk, msg): re-signing yields identical bytes.
+func Sign(sk SecretShare, msg []byte) *SigShare {
 	h := messagePoint(msg)
 	pt := h.Mul(sk.Key)
-	proof, err := dleq.Prove(rng, sk.Key, h, ec.BaseMul(sk.Key), pt, msg)
-	if err != nil {
-		return nil, fmt.Errorf("thresig: proving share: %w", err)
-	}
-	return &SigShare{Index: sk.Index, Point: pt, Proof: proof}, nil
+	return &SigShare{Index: sk.Index, Point: pt, Proof: dleq.Prove(sk.Key, h, sk.pub, pt, msg)}
 }
 
 // VerifyShare checks that a signature share was correctly computed with
 // the registered key share of its claimed party.
 func (p *PublicInfo) VerifyShare(msg []byte, s *SigShare) error {
+	return p.verifyShare(messagePoint(msg), msg, s)
+}
+
+// verifyShare is VerifyShare with the message point h = H2C(msg) already
+// computed.
+func (p *PublicInfo) verifyShare(h *ec.Point, msg []byte, s *SigShare) error {
 	if s == nil || s.Index < 0 || s.Index >= p.N {
 		return ErrBadIndex
 	}
 	if s.Point == nil || !s.Point.IsOnCurve() {
 		return fmt.Errorf("%w: point off curve", ErrBadShare)
 	}
-	h := messagePoint(msg)
 	if err := dleq.Verify(s.Proof, h, p.Shares[s.Index], s.Point, msg); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadShare, err)
 	}
@@ -123,7 +133,8 @@ func (p *PublicInfo) VerifyShare(msg []byte, s *SigShare) error {
 // rather than failing the combination, matching the protocol's tolerance
 // of corrupt contributions.
 func (p *PublicInfo) Combine(msg []byte, shares []*SigShare) (*Signature, error) {
-	valid := make([]shamir.PointShare, 0, p.Threshold)
+	h := messagePoint(msg)
+	valid := make([]*SigShare, 0, p.Threshold)
 	seen := make(map[int]struct{}, len(shares))
 	for _, s := range shares {
 		if len(valid) == p.Threshold {
@@ -135,16 +146,27 @@ func (p *PublicInfo) Combine(msg []byte, shares []*SigShare) (*Signature, error)
 		if _, dup := seen[s.Index]; dup {
 			continue
 		}
-		if err := p.VerifyShare(msg, s); err != nil {
+		if err := p.verifyShare(h, msg, s); err != nil {
 			continue
 		}
 		seen[s.Index] = struct{}{}
-		valid = append(valid, shamir.PointShare{Index: s.Index, Value: s.Point})
+		valid = append(valid, s)
 	}
-	if len(valid) < p.Threshold {
-		return nil, fmt.Errorf("%w: %d valid of %d needed", ErrNotEnoughShares, len(valid), p.Threshold)
+	return p.Interpolate(valid)
+}
+
+// Interpolate combines threshold shares the caller has already verified
+// (with VerifyShare, against the same message) into the unique
+// signature; it checks nothing but the count and distinct indices.
+func (p *PublicInfo) Interpolate(verified []*SigShare) (*Signature, error) {
+	if len(verified) < p.Threshold {
+		return nil, fmt.Errorf("%w: %d valid of %d needed", ErrNotEnoughShares, len(verified), p.Threshold)
 	}
-	pt, err := shamir.RecoverPoint(p.Threshold, valid)
+	pts := make([]shamir.PointShare, p.Threshold)
+	for i, s := range verified[:p.Threshold] {
+		pts[i] = shamir.PointShare{Index: s.Index, Value: s.Point}
+	}
+	pt, err := shamir.RecoverPoint(p.Threshold, pts)
 	if err != nil {
 		return nil, fmt.Errorf("thresig: combining: %w", err)
 	}

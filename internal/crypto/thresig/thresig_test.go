@@ -1,6 +1,7 @@
 package thresig
 
 import (
+	"bytes"
 	"crypto/rand"
 	"testing"
 
@@ -20,11 +21,7 @@ func signAll(t testing.TB, secrets []SecretShare, msg []byte) []*SigShare {
 	t.Helper()
 	shares := make([]*SigShare, len(secrets))
 	for i, sk := range secrets {
-		s, err := Sign(rand.Reader, sk, msg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		shares[i] = s
+		shares[i] = Sign(sk, msg)
 	}
 	return shares
 }
@@ -93,18 +90,12 @@ func TestVerifyShareRejectsForgery(t *testing.T) {
 	msg := []byte("target")
 	// A share computed with the wrong key (another party's) but claiming
 	// index 0 must be rejected.
-	forged, err := Sign(rand.Reader, SecretShare{Index: 0, Key: secrets[1].Key}, msg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	forged := Sign(NewSecretShare(0, secrets[1].Key), msg)
 	if err := pub.VerifyShare(msg, forged); err == nil {
 		t.Fatal("forged share accepted")
 	}
 	// A share for a different message must be rejected for this message.
-	other, err := Sign(rand.Reader, secrets[0], []byte("other"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	other := Sign(secrets[0], []byte("other"))
 	if err := pub.VerifyShare(msg, other); err == nil {
 		t.Fatal("cross-message share accepted")
 	}
@@ -145,14 +136,33 @@ func TestCombineFailsBelowThreshold(t *testing.T) {
 	}
 }
 
+func TestSignIsDeterministic(t *testing.T) {
+	pub, secrets := deal(t, 2, 4)
+	a := Sign(secrets[1], []byte("m1")).Encode()
+	if b := Sign(secrets[1], []byte("m1")).Encode(); !bytes.Equal(a, b) {
+		t.Fatal("re-signing the same message gave different bytes")
+	}
+	// A share rebuilt from the bare key (as after a restart) is identical.
+	restarted := NewSecretShare(secrets[1].Index, secrets[1].Key)
+	if b := Sign(restarted, []byte("m1")).Encode(); !bytes.Equal(a, b) {
+		t.Fatal("a re-loaded key signed different bytes")
+	}
+	other := Sign(secrets[1], []byte("m2"))
+	if err := pub.VerifyShare([]byte("m2"), other); err != nil {
+		t.Fatal(err)
+	}
+	// Different messages must not reuse the DLEQ nonce: with equal
+	// nonces the two responses z = k − c·x would reveal x.
+	first, _ := DecodeSigShare(1, a)
+	if first.Proof.C.Equal(other.Proof.C) || first.Proof.Z.Equal(other.Proof.Z) {
+		t.Fatal("different messages gave the same proof")
+	}
+}
+
 func TestShareEncodeDecode(t *testing.T) {
 	pub, secrets := deal(t, 2, 3)
 	msg := []byte("wire")
-	s, err := Sign(rand.Reader, secrets[1], msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc := s.Encode()
+	enc := Sign(secrets[1], msg).Encode()
 	if len(enc) != SigShareLen {
 		t.Fatalf("encoded length %d, want %d", len(enc), SigShareLen)
 	}
@@ -192,9 +202,7 @@ func BenchmarkSignShare(b *testing.B) {
 	msg := []byte("beacon")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Sign(rand.Reader, secrets[0], msg); err != nil {
-			b.Fatal(err)
-		}
+		Sign(secrets[0], msg)
 	}
 }
 
@@ -204,7 +212,7 @@ func BenchmarkVerifyShare(b *testing.B) {
 		b.Fatal(err)
 	}
 	msg := []byte("beacon")
-	s, _ := Sign(rand.Reader, secrets[0], msg)
+	s := Sign(secrets[0], msg)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := pub.VerifyShare(msg, s); err != nil {
@@ -221,7 +229,7 @@ func BenchmarkCombine13of5(b *testing.B) {
 	msg := []byte("beacon")
 	shares := make([]*SigShare, 5)
 	for i := range shares {
-		shares[i], _ = Sign(rand.Reader, secrets[i], msg)
+		shares[i] = Sign(secrets[i], msg)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -229,4 +237,40 @@ func BenchmarkCombine13of5(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+func FuzzDecodeSigShare(f *testing.F) {
+	_, secrets, err := Deal(rand.Reader, 2, 3)
+	if err != nil {
+		f.Fatal(err)
+	}
+	valid := Sign(secrets[0], []byte("fuzz")).Encode()
+	f.Add(valid)
+	withPoint := func(pt []byte) []byte {
+		return append(append([]byte(nil), pt...), valid[ec.PointLen:]...)
+	}
+	offCurve := make([]byte, ec.PointLen)
+	offCurve[0] = 0x02
+	offCurve[ec.PointLen-1] = 0x01 // x = 1: x³ − 3x + b is not a square
+	f.Add(withPoint(offCurve))
+	xTooBig := append([]byte{0x02}, ec.P.FillBytes(make([]byte, 32))...)
+	f.Add(withPoint(xTooBig))
+	uncompressed := append([]byte(nil), valid[:ec.PointLen]...)
+	uncompressed[0] = 0x04
+	f.Add(withPoint(uncompressed))
+	f.Add(withPoint(make([]byte, ec.PointLen))) // the identity
+	f.Add(valid[:SigShareLen-1])
+	f.Fuzz(func(t *testing.T, b []byte) {
+		s, err := DecodeSigShare(1, b)
+		if err != nil {
+			return
+		}
+		if !s.Point.IsOnCurve() {
+			t.Fatal("decoded an off-curve point")
+		}
+		// Decoding accepts only canonical encodings.
+		if !bytes.Equal(s.Encode(), b) {
+			t.Fatalf("re-encoding differs: %x vs %x", s.Encode(), b)
+		}
+	})
 }

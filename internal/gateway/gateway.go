@@ -82,11 +82,12 @@ type Gateway struct {
 	mu       sync.Mutex
 	running  bool
 	stopped  bool
-	applied  uint64               // commit index: highest finalized round applied here
-	appliedC chan struct{}        // closed + replaced whenever applied advances
-	pending  map[ident]*Receipt   // admitted, awaiting finality
-	resolved map[ident]uint64     // recently finalized identity → commit index
-	order    []ident              // FIFO eviction order for resolved
+	applied  uint64             // commit index: highest finalized round applied here
+	ops      uint64             // kv.AppliedOps() of the state at round applied
+	appliedC chan struct{}      // closed + replaced whenever applied advances
+	pending  map[ident]*Receipt // admitted, awaiting finality
+	resolved map[ident]uint64   // recently finalized identity → commit index
+	order    []ident            // FIFO eviction order for resolved
 
 	submitted  *obs.Counter
 	acked      *obs.Counter
@@ -228,13 +229,14 @@ func (g *Gateway) ObserveCommit(round uint64, payload []byte) {
 	if err != nil {
 		cmds = nil // the round still finalized; advance the watermark
 	}
+	ops := g.kv.AppliedOps() // the state after this round, applied by the caller
 	g.mu.Lock()
 	if g.stopped {
 		g.mu.Unlock()
 		return
 	}
 	if round > g.applied {
-		g.applied = round
+		g.applied, g.ops = round, ops
 		close(g.appliedC)
 		g.appliedC = make(chan struct{})
 	}
@@ -286,8 +288,9 @@ func (g *Gateway) Backlog() int { return g.queue.Len() }
 type ReadResult struct {
 	Value []byte
 	Found bool
-	// Index is the replica's commit index at read time (≥ the request
-	// token) — usable as the token for a subsequent monotonic read.
+	// Index is the commit index of the state the value was read from
+	// (≥ the request token) — usable as the token for a subsequent
+	// monotonic read.
 	Index uint64
 }
 
@@ -295,6 +298,13 @@ type ReadResult struct {
 // commit-index token: it waits until the replica has applied round ≥
 // token (read-your-writes when the token came from a write Receipt),
 // then reads locally. A zero token reads the current state immediately.
+//
+// The KV is applied before ObserveCommit advances the index, so a read
+// can land on a block whose index is not published yet. Read detects
+// that by the KV's operation count and then waits for the index and
+// reads again, so Index is always the round of the state returned. (A
+// checkpoint restore moves the KV without a commit; reads then wait for
+// the next one.)
 func (g *Gateway) Read(ctx context.Context, key string, token uint64) (ReadResult, error) {
 	start := time.Now()
 	for {
@@ -303,14 +313,15 @@ func (g *Gateway) Read(ctx context.Context, key string, token uint64) (ReadResul
 			g.mu.Unlock()
 			return ReadResult{}, ErrNotRunning
 		}
-		applied := g.applied
+		applied, ops := g.applied, g.ops
 		wake := g.appliedC
 		g.mu.Unlock()
 		if applied >= token {
-			g.readTotal.Inc()
-			g.readWait.Observe(time.Since(start).Seconds())
-			v, found := g.kv.Get(key)
-			return ReadResult{Value: v, Found: found, Index: applied}, nil
+			if v, found, at := g.kv.GetWithOps(key); at == ops {
+				g.readTotal.Inc()
+				g.readWait.Observe(time.Since(start).Seconds())
+				return ReadResult{Value: v, Found: found, Index: applied}, nil
+			}
 		}
 		select {
 		case <-ctx.Done():

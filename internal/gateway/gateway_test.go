@@ -219,6 +219,77 @@ func TestReadWaitsForToken(t *testing.T) {
 	}
 }
 
+// TestReadIndexMatchesStateRead interleaves commits with reads: block r
+// sets key "k" to r, and the KV is applied before ObserveCommit, as in
+// the facade. Every read must report the index of the state it read.
+func TestReadIndexMatchesStateRead(t *testing.T) {
+	h := newHarness(t, Options{})
+	ctx := context.Background()
+	apply := func(r uint64) []byte {
+		payload := statemachine.EncodePayload([]statemachine.Command{{
+			Client: 1, Seq: r, Op: statemachine.OpSet, Key: "k", Value: []byte(fmt.Sprint(r)),
+		}})
+		if err := h.kv.Apply(payload); err != nil {
+			t.Fatal(err)
+		}
+		return payload
+	}
+	h.gw.ObserveCommit(1, apply(1))
+
+	// Block 2 is applied but its index not yet published: a read must
+	// not report index 1 with block 2's value.
+	p2 := apply(2)
+	readDone := make(chan ReadResult, 1)
+	go func() {
+		res, err := h.gw.Read(ctx, "k", 0)
+		if err != nil {
+			t.Errorf("read: %v", err)
+		}
+		readDone <- res
+	}()
+	select {
+	case res := <-readDone:
+		t.Fatalf("read between apply and ObserveCommit returned %+v", res)
+	case <-time.After(20 * time.Millisecond):
+	}
+	h.gw.ObserveCommit(2, p2)
+	if res := <-readDone; string(res.Value) != "2" || res.Index != 2 {
+		t.Fatalf("read = %q at index %d, want \"2\" at 2", res.Value, res.Index)
+	}
+
+	// Concurrent commits and reads.
+	const last = 300
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				res, err := h.gw.Read(ctx, "k", 0)
+				if err != nil {
+					t.Errorf("read: %v", err)
+					return
+				}
+				if want := fmt.Sprint(res.Index); string(res.Value) != want {
+					t.Errorf("read %q at index %d", res.Value, res.Index)
+					return
+				}
+			}
+		}()
+	}
+	for r := uint64(3); r <= last; r++ {
+		h.gw.ObserveCommit(r, apply(r))
+	}
+	close(stop)
+	wg.Wait()
+}
+
 func TestLookup(t *testing.T) {
 	h := newHarness(t, Options{})
 	ctx := context.Background()

@@ -66,6 +66,18 @@ func (kv *KV) Get(key string) ([]byte, bool) {
 	return append([]byte(nil), v...), true
 }
 
+// GetWithOps is Get that also returns AppliedOps of the state it read,
+// taken atomically with the value: equal counts mean equal states.
+func (kv *KV) GetWithOps(key string) ([]byte, bool, uint64) {
+	kv.mu.Lock()
+	defer kv.mu.Unlock()
+	v, ok := kv.data[key]
+	if !ok {
+		return nil, false, kv.ops
+	}
+	return append([]byte(nil), v...), true, kv.ops
+}
+
 // Len returns the number of keys.
 func (kv *KV) Len() int {
 	kv.mu.Lock()
